@@ -36,7 +36,6 @@ from .floyd_warshall import (
     equal_cost_successors,
     extract_path,
     floyd_warshall_successors,
-    reference_floyd_warshall,
 )
 from .parameters import ApplicationProfile
 from .phase3 import EcmpSelector, RoutingPlan, select_destinations
@@ -71,7 +70,6 @@ __all__ = [
     "extract_path",
     "floyd_warshall_successors",
     "optimize_duplicates",
-    "reference_floyd_warshall",
     "routing_engine",
     "sdr_weight_matrix",
     "select_destinations",

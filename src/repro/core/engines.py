@@ -38,6 +38,9 @@ class RoutingEngine(abc.ABC):
     #: every plan routes on the canonical successor table alone.
     _ecmp_seed: int | None = None
 
+    #: ``(weights, D, S)`` of the last Floyd–Warshall rebuild, frozen.
+    _apsp_memo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
     @property
     @abc.abstractmethod
     def pipeline(self) -> CostPipeline:
@@ -72,17 +75,40 @@ class RoutingEngine(abc.ABC):
 
         ``term_observer`` forwards to the cost pipeline (per-term
         weight attribution); ``timer`` is an optional
-        ``(name, seconds)`` callback wrapping the Floyd–Warshall
-        rebuild — phase 2 dominates the recompute cost and is the
-        hot path a trace wants isolated.
+        ``(name, seconds)`` callback wrapping phase 2 — it dominates
+        the recompute cost and is the hot path a trace wants isolated.
+        A Floyd–Warshall rebuild reports as ``floyd-warshall``, a reuse
+        of the previous ``(D, S)`` as ``floyd-warshall-reuse``.
+
+        Phase 2 is memoised on the last weight matrix: when the new
+        weights are bitwise equal to it (SDR ignores the battery-level
+        reports that trigger most re-plans), the stored ``(D, S)`` is
+        reused.  The weights, ``D`` and ``S`` are returned read-only so
+        the memo cannot be changed behind its back.  Phases 1 and 3 and
+        ECMP always run on the current view.
         """
-        weights = self.weight_matrix(view, observer=term_observer)
-        if timer is not None:
-            started = time.perf_counter()
-            distances, successors = floyd_warshall_successors(weights)
-            timer("floyd-warshall", time.perf_counter() - started)
+        weights = np.ascontiguousarray(
+            self.weight_matrix(view, observer=term_observer), dtype=float
+        )
+        started = time.perf_counter() if timer is not None else 0.0
+        memo = self._apsp_memo
+        # Compared as int64 bit patterns, so -0.0 != 0.0.
+        if memo is not None and np.array_equal(
+            memo[0].view(np.int64), weights.view(np.int64)
+        ):
+            _, distances, successors = memo
+            phase = "floyd-warshall-reuse"
         else:
+            # Release the old entry first: the rebuild then peaks at
+            # the same memory as it would without the memo.
+            self._apsp_memo = None
             distances, successors = floyd_warshall_successors(weights)
+            for matrix in (weights, distances, successors):
+                matrix.setflags(write=False)
+            self._apsp_memo = (weights, distances, successors)
+            phase = "floyd-warshall"
+        if timer is not None:
+            timer(phase, time.perf_counter() - started)
         destinations = select_destinations(view, distances, successors)
         ecmp = None
         if self._ecmp_seed is not None:

@@ -7,14 +7,22 @@ path to node ``j`` (Fig 5).  Ties keep the incumbent successor (the
 pseudo-code only replaces on strict improvement), which makes the result
 deterministic.
 
-Two implementations are provided:
-
-* :func:`floyd_warshall_successors` — numpy-vectorised over the inner two
-  loops; this is the production path (the O(K^3) work dominates routing
-  recomputation time, see the runtime bench).
-* :func:`reference_floyd_warshall` — a line-by-line transcription of the
-  paper's pseudo-code in pure Python, kept as the semantic reference that
-  the vectorised version is tested against.
+:func:`floyd_warshall_successors` is vectorised over the inner two loops
+and relaxes only the rows that can still improve.  Before step ``k``,
+``D[i, k]`` is the shortest ``i -> k`` path through intermediates
+``< k``, so it is ``inf`` unless ``i == k`` or ``i`` has an edge to some
+node ``<= k``.  For any other row ``D[i, k] + D[k, j]`` is ``inf``,
+never strictly less than ``D[i, j]``, so relaxing it changes nothing.
+The kernel stores the rows of ``D`` and ``S`` sorted by ``min(i, lowest
+out-neighbour of i)``, which makes the rows that can improve at step
+``k`` a leading block, and relaxes only that block.  The steps still run
+in increasing ``k``, each on the same operands as the full-matrix
+transcription of Fig 5, so ``(D, S)`` is bit-identical to it (the test
+suite keeps that transcription as its oracle).  On a mesh the block at
+step ``k`` holds about ``k + width`` rows, which roughly halves the
+O(K^3) work; a node attached only to node 0, such as the external
+block, sorts to the front instead of widening every block to the whole
+matrix.
 """
 
 from __future__ import annotations
@@ -26,14 +34,37 @@ from ..errors import RoutingError
 #: Sentinel for "no successor" (unreachable destination).
 NO_SUCCESSOR = -1
 
+#: One-entry cache ``(packed finite pattern, layout)``: re-plans of one
+#: fabric keep the same weight support, so the layout is derived once.
+#: It is replaced as a whole and a layout depends only on its key, so
+#: concurrent callers can at worst derive the same layout twice.
+_layout_cache: tuple[bytes, tuple] | None = None
 
-def _initial_successors(weights: np.ndarray) -> np.ndarray:
-    """``S^(0)``: the edge target where an edge exists, else sentinel."""
-    size = weights.shape[0]
-    targets = np.broadcast_to(np.arange(size), (size, size))
-    successors = np.where(np.isfinite(weights), targets, NO_SUCCESSOR)
-    np.fill_diagonal(successors, np.arange(size))
-    return successors.astype(np.int64)
+
+def _frontier_layout(finite: np.ndarray) -> tuple:
+    """``(order, position, steps)`` of a weight support.
+
+    ``order`` lists the nodes sorted (stably) by ``min(i, lowest
+    out-neighbour of i)`` and ``position`` is its inverse.  ``steps[k]``
+    is ``(position[k], rows)``: the pivot row of step ``k`` in that
+    order, and how many leading rows can improve at step ``k`` (the
+    nodes whose key is ``<= k``).  The diagonal is finite, so
+    ``argmax`` over a row of ``finite`` is exactly the key.
+    """
+    global _layout_cache
+    key = np.packbits(finite).tobytes()
+    cached = _layout_cache
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    size = finite.shape[0]
+    first = np.argmax(finite, axis=1)
+    order = np.argsort(first, kind="stable")
+    position = np.empty(size, dtype=np.intp)
+    position[order] = np.arange(size)
+    rows = np.searchsorted(first[order], np.arange(size), side="right")
+    layout = (order, position, list(zip(position.tolist(), rows.tolist())))
+    _layout_cache = (key, layout)
+    return layout
 
 
 def floyd_warshall_successors(
@@ -43,9 +74,10 @@ def floyd_warshall_successors(
 
     Args:
         weights: Square matrix; ``inf`` marks non-edges, the diagonal
-            must be 0.  Negative weights are rejected (physical lengths
-            and battery multipliers are non-negative, and Floyd–Warshall
-            successor semantics break on negative cycles).
+            must be 0.  Negative weights, ``-inf`` included, are
+            rejected (physical lengths and battery multipliers are
+            non-negative, and Floyd–Warshall successor semantics break
+            on negative cycles).
 
     Returns:
         ``(D, S)`` where ``D[i, j]`` is the least path weight and
@@ -58,38 +90,62 @@ def floyd_warshall_successors(
         raise RoutingError(f"weight matrix must be square, got {weights.shape}")
     if size and np.any(np.diagonal(weights) != 0.0):
         raise RoutingError("weight matrix diagonal must be zero")
-    finite = weights[np.isfinite(weights)]
-    if finite.size and finite.min() < 0:
+    if np.any(weights < 0):
         raise RoutingError("negative interconnect weights are not allowed")
+    if not size:
+        return weights.copy(), np.empty((0, 0), dtype=np.int64)
 
-    distances = weights.copy()
-    successors = _initial_successors(weights)
-    # Reusable buffers: the k-loop runs K times over K^2 entries, so the
-    # per-iteration allocations of the naive np.where formulation cost
-    # more than the arithmetic on large fabrics.  Semantics are
-    # unchanged: strict `<` replaces, ties keep the incumbent.
+    order, position, steps = _frontier_layout(np.isfinite(weights))
+    # Rows are stored in layout order, columns keep node ids; a row
+    # gather is a C-contiguous copy, so every leading block is too.
+    distances = weights[order]
+    # S^(0): the edge target where an edge exists (the zero diagonal
+    # makes every node its own successor), else the sentinel.
+    successors = np.where(
+        np.isfinite(distances), np.arange(size), NO_SUCCESSOR
+    ).astype(np.int64, copy=False)
+    # Reusable buffers: the per-iteration allocations of the naive
+    # np.where formulation cost more than the arithmetic on large
+    # fabrics.  Strict `<` replaces, ties keep the incumbent.
     through_k = np.empty_like(distances)
     better = np.empty(distances.shape, dtype=bool)
     successor_col = np.empty(size, dtype=np.int64)
-    for k in range(size):
-        np.add.outer(distances[:, k], distances[k, :], out=through_k)
-        np.less(through_k, distances, out=better)
-        if not better.any():
+    # On small fabrics the per-step call overhead is most of the cost:
+    # the ufuncs are bound once, a broadcast add is cheaper than
+    # add.outer, and argmax of a bool block (its first True, else 0)
+    # is a cheaper "any" than any() at every size.
+    add, less, copyto = np.add, np.less, np.copyto
+    for k, (pivot, block) in enumerate(steps):
+        d = distances[:block]
+        t = through_k[:block]
+        b = better[:block]
+        add(d[:, k, None], distances[pivot], out=t)
+        less(t, d, out=b)
+        if not (b.argmax() or b[0, 0]):
             continue
-        np.copyto(distances, through_k, where=better)
-        # Snapshot column k before writing: better[:, k] is always False
-        # (through_k[:, k] == distances[:, k]), but copyto would other-
-        # wise read from the array it is writing.
-        successor_col[:] = successors[:, k]
-        np.copyto(successors, successor_col[:, None], where=better)
-    return distances, successors
+        copyto(d, t, where=b)
+        # Snapshot column k before writing: b[:, k] is always False
+        # (t[:, k] == d[:, k]), but copyto would otherwise read from
+        # the array it is writing.
+        column = successor_col[:block]
+        column[:] = successors[:block, k]
+        copyto(successors[:block], column[:, None], where=b)
+    # Back to node order.  D reuses the relaxation buffer and each
+    # permuted matrix is freed before the next is allocated, so the
+    # peak stays that of the loop.  (``take`` buffers ``out`` unless
+    # ``mode`` is given; every index is in range, so "clip" is a no-op.)
+    del better
+    restored = np.take(distances, position, axis=0, out=through_k, mode="clip")
+    del distances
+    return restored, successors[position]
 
 
 #: Relative tolerance for "equal cost" when collecting ECMP successor
-#: groups.  The vectorised and reference Floyd–Warshall runs accumulate
-#: sums in different orders, so exact equality would make group
-#: membership depend on summation order; one part in 10^9 is far below
-#: any physically meaningful weight difference.
+#: groups.  A candidate's cost ``W[s, k] + D[k, d]`` is summed in a
+#: different association from ``D[s, d]``, which Floyd–Warshall built
+#: as ``D[s, m] + D[m, d]`` over its intermediate nodes, so an equal-cost
+#: detour can miss exact equality by an ulp; one part in 10^9 is far
+#: below any physically meaningful weight difference.
 ECMP_COST_TOLERANCE = 1e-9
 
 
@@ -140,28 +196,6 @@ def equal_cost_successors(
         group.append(canonical)
         group.sort()
     return group
-
-
-def reference_floyd_warshall(
-    weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Direct transcription of the paper's Fig 5 pseudo-code.
-
-    O(K^3) in pure Python — test/reference use only.
-    """
-    weights = np.asarray(weights, dtype=float)
-    size = weights.shape[0]
-    distances = weights.copy()
-    successors = _initial_successors(weights)
-    for n in range(size):
-        for i in range(size):
-            for j in range(size):
-                through_n = distances[i, n] + distances[n, j]
-                # Paper Fig 5: keep S on <=, replace on strict >.
-                if distances[i, j] > through_n:
-                    distances[i, j] = through_n
-                    successors[i, j] = successors[i, n]
-    return distances, successors
 
 
 def extract_path(

@@ -261,8 +261,9 @@ def reference_select_destinations(
 ) -> np.ndarray:
     """Literal per-(node, duplicate) transcription of the Fig 6 walk.
 
-    O(K * |S_i|) in pure Python — test/reference use only, mirroring
-    :func:`~repro.core.floyd_warshall.reference_floyd_warshall`.
+    O(K * |S_i|) in pure Python — test/reference use only, like the
+    Fig 5 Floyd–Warshall transcription the test suite keeps as the
+    oracle of phase 2 (``tests/oracles.py``).
     """
     mapping = view.mapping
     size = view.num_nodes

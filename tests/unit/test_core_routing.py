@@ -4,7 +4,9 @@ engines (repro.core)."""
 import numpy as np
 import pytest
 
+import repro.core.engines as engines
 from helpers import make_view
+from oracles import reference_floyd_warshall
 from repro.core.engines import (
     EnergyAwareRouting,
     ShortestDistanceRouting,
@@ -15,7 +17,6 @@ from repro.core.floyd_warshall import (
     extract_path,
     floyd_warshall_successors,
     path_length,
-    reference_floyd_warshall,
 )
 from repro.core.phase3 import NO_DESTINATION, select_destinations
 from repro.core.weights import (
@@ -31,6 +32,8 @@ from repro.errors import (
     UnreachableModuleError,
 )
 from repro.mesh.geometry import node_id
+from repro.orchestration import build_scenario
+from repro.sim.et_sim import run_simulation
 
 
 class TestWeightFunction:
@@ -174,7 +177,7 @@ class TestFloydWarshall:
         weights = sdr_weight_matrix(full_view)
         d_fast, s_fast = floyd_warshall_successors(weights)
         d_ref, s_ref = reference_floyd_warshall(weights)
-        assert np.allclose(d_fast, d_ref)
+        assert np.array_equal(d_fast, d_ref)
         assert np.array_equal(s_fast, s_ref)
 
     def test_matches_networkx(self, mesh4, full_view):
@@ -211,6 +214,13 @@ class TestFloydWarshall:
 
     def test_negative_weights_rejected(self):
         weights = np.array([[0.0, -1.0], [1.0, 0.0]])
+        with pytest.raises(RoutingError):
+            floyd_warshall_successors(weights)
+
+    def test_negative_infinity_rejected(self):
+        # -inf is not a non-edge marker: it would make rows outside the
+        # relaxed block improvable, so it is rejected like any negative.
+        weights = np.array([[0.0, -np.inf], [1.0, 0.0]])
         with pytest.raises(RoutingError):
             floyd_warshall_successors(weights)
 
@@ -331,3 +341,138 @@ class TestEngines:
     def test_repr(self):
         assert "q=" in repr(EnergyAwareRouting())
         assert repr(ShortestDistanceRouting())
+
+
+class TestPlanMemo:
+    """Phase 2 reuses the last ``(D, S)`` when the weights are unchanged."""
+
+    @pytest.fixture
+    def apsp_calls(self, monkeypatch):
+        # The name compute_plan resolves (and the benchmark tracer
+        # patches): repro.core.engines.floyd_warshall_successors.
+        calls = []
+        original = engines.floyd_warshall_successors
+
+        def counted(weights):
+            calls.append(weights)
+            return original(weights)
+
+        monkeypatch.setattr(engines, "floyd_warshall_successors", counted)
+        return calls
+
+    def test_unchanged_sdr_view_skips_apsp(self, full_view, apsp_calls):
+        engine = ShortestDistanceRouting()
+        first = engine.compute_plan(full_view)
+        second = engine.compute_plan(full_view)
+        assert len(apsp_calls) == 1
+        assert second.distances is first.distances
+        assert second.successors is first.successors
+
+    def test_battery_levels_do_not_rebuild_sdr(
+        self, mesh4, mapping4, apsp_calls
+    ):
+        engine = ShortestDistanceRouting()
+        engine.compute_plan(make_view(mesh4, mapping4))
+        levels = np.arange(16) % 8
+        engine.compute_plan(make_view(mesh4, mapping4, levels_vector=levels))
+        assert len(apsp_calls) == 1
+
+    def test_changed_weights_rebuild(self, mesh4, mapping4, apsp_calls):
+        engine = EnergyAwareRouting()
+        engine.compute_plan(make_view(mesh4, mapping4))
+        levels = np.full(16, 7)
+        levels[5] = 0
+        plan = engine.compute_plan(
+            make_view(mesh4, mapping4, levels_vector=levels)
+        )
+        assert len(apsp_calls) == 2
+        fresh = EnergyAwareRouting().compute_plan(
+            make_view(mesh4, mapping4, levels_vector=levels)
+        )
+        assert plan.distances.tobytes() == fresh.distances.tobytes()
+        assert plan.successors.tobytes() == fresh.successors.tobytes()
+
+    def test_signed_zero_is_a_change(self, full_view, apsp_calls):
+        weights = sdr_weight_matrix(full_view)
+        signed = weights.copy()
+        signed[3, 3] = -0.0
+
+        class Fixed(ShortestDistanceRouting):
+            matrix = weights
+
+            def weight_matrix(self, view, observer=None):
+                return self.matrix.copy()
+
+        engine = Fixed()
+        engine.compute_plan(full_view)
+        engine.matrix = signed
+        engine.compute_plan(full_view)
+        engine.compute_plan(full_view)
+        assert len(apsp_calls) == 2
+
+    def test_plan_tables_are_read_only(self, full_view):
+        engine = ShortestDistanceRouting()
+        for plan in (
+            engine.compute_plan(full_view),
+            engine.compute_plan(full_view),
+        ):
+            with pytest.raises(ValueError):
+                plan.distances[0, 1] = 0.0
+            with pytest.raises(ValueError):
+                plan.successors[0, 1] = 0
+
+    def test_phase3_runs_on_the_current_view(self, mesh4, mapping4):
+        # SDR weights ignore blocked ports, so the second plan reuses
+        # (D, S) but must still route around the reported deadlock.
+        origin = node_id(2, 1, 4)
+        preferred = node_id(1, 1, 4)
+        blocked = make_view(
+            mesh4, mapping4, blocked=frozenset({(origin, preferred)})
+        )
+        engine = ShortestDistanceRouting()
+        engine.compute_plan(make_view(mesh4, mapping4))
+        reused = engine.compute_plan(blocked)
+        fresh = ShortestDistanceRouting().compute_plan(blocked)
+        assert np.array_equal(reused.destinations, fresh.destinations)
+        assert reused.destination(origin, 1) != preferred
+
+    def test_ecmp_runs_on_the_current_view(self, mesh4, mapping4):
+        origin = node_id(2, 1, 4)
+        blocked = make_view(
+            mesh4, mapping4, blocked=frozenset({(origin, node_id(1, 1, 4))})
+        )
+        engine = ShortestDistanceRouting()
+        engine.configure_ecmp(7)
+        engine.compute_plan(make_view(mesh4, mapping4))
+        reused = engine.compute_plan(blocked)
+        fresh_engine = ShortestDistanceRouting()
+        fresh_engine.configure_ecmp(7)
+        fresh = fresh_engine.compute_plan(blocked)
+        hops = [
+            (reused.next_hop(origin, dest), fresh.next_hop(origin, dest))
+            for dest in range(16)
+            for _ in range(3)
+        ]
+        assert all(a == b for a, b in hops)
+
+    def test_timer_names_rebuilds_and_reuses(self, full_view):
+        samples = []
+        engine = ShortestDistanceRouting()
+        timer = lambda name, seconds: samples.append(name)  # noqa: E731
+        engine.compute_plan(full_view, timer=timer)
+        engine.compute_plan(full_view, timer=timer)
+        assert samples == ["floyd-warshall", "floyd-warshall-reuse"]
+
+    def test_sdr_run_still_bills_every_replan(self, apsp_calls):
+        # Pre-memo values of the fig7 smoke 4x4 SDR point: the memo
+        # skips simulator work, never the modelled controller energy.
+        point = next(
+            point
+            for point in build_scenario("fig7", scale="smoke")
+            if point.label == "4x4/sdr"
+        )
+        stats = run_simulation(point.config)
+        assert stats.recompute_count == 10
+        assert stats.energy.controller_pj["compute"] == 49.129999999999995
+        # Bootstrap plus ten re-plans, most on unchanged weights.
+        assert len(apsp_calls) < stats.recompute_count + 1
