@@ -66,8 +66,8 @@ def test_ablation_mapping(benchmark, reporter, sweep_runner):
         return  # strategy gaps need uncapped runs
     # On the tight 4x4 fabric, where module-1 scarcity binds, the
     # energy-proportional mappings beat the uniform baseline.  On larger
-    # fabrics EAR's online balancing narrows the gap (an honest finding
-    # recorded in EXPERIMENTS.md), so only rough parity is required.
+    # fabrics EAR's online balancing narrows the gap, so only rough
+    # parity is required.
     small = rows[0]
     assert small[1] > small[3]
     assert small[2] > small[3]

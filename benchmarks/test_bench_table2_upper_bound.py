@@ -3,8 +3,9 @@
 The paper reports ratios of 44.5-48.2 % across the five mesh sizes, with
 the bound itself given by ``J* = B*K / sum(H_i)``.  The reproduction's
 bound matches the paper's numbers to within ~0.1 % (the communication
-energy is calibrated from this very table, see DESIGN.md); the measured
-ratio band is recorded in EXPERIMENTS.md.
+energy is calibrated from this very table, see
+``repro.analysis.calibration``); the ``paper`` benchmark measures a ratio
+of 0.4926 at 8x8 (see ``perfbench/README.md``).
 
 Simulated points come from the ``table2`` scenario through the cached
 orchestration runner; the analytical bound is evaluated in-process.

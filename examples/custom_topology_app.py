@@ -17,9 +17,8 @@ Run:  python examples/custom_topology_app.py
 
 import numpy as np
 
-from repro import ApplicationProfile, EnergyAwareRouting, theorem1
+from repro import ApplicationProfile, BatteryTerm, EnergyAwareRouting, theorem1
 from repro.core.view import NetworkView
-from repro.core.weights import BatteryWeightFunction
 from repro.mesh.mapping import ModuleMapping
 from repro.mesh.topology import Topology
 
@@ -65,7 +64,7 @@ def main() -> None:
         )
     )
 
-    engine = EnergyAwareRouting(BatteryWeightFunction(q=1.8, levels=8))
+    engine = EnergyAwareRouting(BatteryTerm(q=1.8, levels=8))
 
     def plan_for(levels: list[int]):
         view = NetworkView(

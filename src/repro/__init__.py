@@ -31,6 +31,7 @@ from .config import (
     SimulationConfig,
     WorkloadConfig,
 )
+from .core.costs import BatteryTerm
 from .core.engines import (
     EnergyAwareRouting,
     RoutingEngine,
@@ -39,7 +40,6 @@ from .core.engines import (
 )
 from .core.parameters import ApplicationProfile
 from .core.upper_bound import UpperBoundResult, optimize_duplicates, theorem1
-from .core.weights import BatteryWeightFunction
 from .errors import ReproError
 from .sim.et_sim import EtSim, run_simulation
 from .sim.stats import SimulationStats
@@ -47,7 +47,7 @@ from .version import PAPER_CITATION, __version__
 
 __all__ = [
     "ApplicationProfile",
-    "BatteryWeightFunction",
+    "BatteryTerm",
     "ControlConfig",
     "EnergyAwareRouting",
     "EtSim",

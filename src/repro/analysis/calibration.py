@@ -7,7 +7,6 @@ computation energies are published, the *communication* energy per act
 falls out.  These helpers perform that inversion and map the result back
 to a physical link length through the published SPICE line energies,
 which is how the repository's default link pitch (~2.045 cm) was chosen.
-See DESIGN.md for the full derivation.
 """
 
 from __future__ import annotations

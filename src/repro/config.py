@@ -26,6 +26,7 @@ from .control.tdma import (
     DEFAULT_TABLE_ENTRY_BITS,
     TdmaSchedule,
 )
+from .core.costs import BatteryTerm, CongestionTerm, HarvestTerm, WearTerm
 from .core.weights import (
     DEFAULT_CONGESTION_Q,
     DEFAULT_CONGESTION_QUANTUM,
@@ -34,10 +35,6 @@ from .core.weights import (
     DEFAULT_Q,
     DEFAULT_WEAR_Q,
     DEFAULT_WEAR_QUANTUM,
-    BatteryWeightFunction,
-    CongestionWeightFunction,
-    HarvestWeightFunction,
-    WearWeightFunction,
 )
 from .errors import ConfigurationError
 from .faults.config import FaultConfig
@@ -402,10 +399,14 @@ class RoutingOptions:
     ecmp_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.congestion_q < 1.0:
-            raise ConfigurationError("congestion Q must be >= 1")
-        if self.congestion_quantum <= 0:
-            raise ConfigurationError("congestion quantum must be positive")
+        # The term owns the bounds, so building it validates them.
+        self.congestion_term()
+
+    def congestion_term(self) -> CongestionTerm:
+        """The congestion cost term these options parameterise."""
+        return CongestionTerm(
+            q=self.congestion_q, quantum=self.congestion_quantum
+        )
 
 
 @dataclass(frozen=True)
@@ -472,16 +473,9 @@ class SimulationConfig:
                 f"unknown engine {self.engine!r}; expected one of "
                 f"{ENGINE_NAMES}"
             )
-        if self.weight_q <= 0:
-            raise ConfigurationError("weight Q must be positive")
-        if self.wear_q < 1.0:
-            raise ConfigurationError("wear Q must be >= 1")
-        if self.wear_quantum < 1:
-            raise ConfigurationError("wear quantum must be >= 1")
-        if self.harvest_q < 1.0:
-            raise ConfigurationError("harvest Q must be >= 1")
-        if self.harvest_quantum <= 0:
-            raise ConfigurationError("harvest quantum must be positive")
+        # The terms own their bounds, so building them validates the
+        # knobs.
+        self.cost_terms()
 
     def resolved_engine(self) -> str:
         """The concrete engine name this configuration runs on.
@@ -499,33 +493,23 @@ class SimulationConfig:
             else "sequential"
         )
 
-    def weight_function(self) -> BatteryWeightFunction:
-        return BatteryWeightFunction(
-            q=self.weight_q, levels=self.platform.battery_levels
-        )
-
-    def wear_function(self) -> WearWeightFunction | None:
-        """The wear-prediction penalty, or None when disabled."""
-        if not self.wear_aware:
-            return None
-        return WearWeightFunction(q=self.wear_q, quantum=self.wear_quantum)
-
-    def harvest_function(self) -> HarvestWeightFunction | None:
-        """The harvest-bonus weight, or None when disabled."""
-        if not self.harvest_aware:
-            return None
-        return HarvestWeightFunction(
-            q=self.harvest_q, quantum=self.harvest_quantum
-        )
-
-    def congestion_function(self) -> CongestionWeightFunction | None:
-        """The congestion penalty, or None when disabled."""
-        if not self.routing_opts.congestion_aware:
-            return None
-        return CongestionWeightFunction(
-            q=self.routing_opts.congestion_q,
-            quantum=self.routing_opts.congestion_quantum,
-        )
+    def cost_terms(self) -> tuple:
+        """The EAR cost terms this configuration enables, in pipeline
+        order: battery always, then wear, harvest and congestion when
+        switched on.  SDR routes on lengths alone and uses none."""
+        terms = [
+            BatteryTerm(q=self.weight_q, levels=self.platform.battery_levels)
+        ]
+        # Built even when off, so a bad knob is rejected either way.
+        wear = WearTerm(q=self.wear_q, quantum=self.wear_quantum)
+        harvest = HarvestTerm(q=self.harvest_q, quantum=self.harvest_quantum)
+        if self.wear_aware:
+            terms.append(wear)
+        if self.harvest_aware:
+            terms.append(harvest)
+        if self.routing_opts.congestion_aware:
+            terms.append(self.routing_opts.congestion_term())
+        return tuple(terms)
 
     # ------------------------------------------------------------------
     # Serialisation

@@ -23,7 +23,7 @@ quanta* whose relative scaling follows the hardware reference:
 The default quanta are calibrated so Fig 8's structure reproduces: a
 single controller sustains roughly half the node-limited lifetime on a
 4x4 mesh and a small fraction of it on an 8x8 mesh.  All quanta are
-explicit configuration, revisited in EXPERIMENTS.md.
+explicit configuration.
 """
 
 from __future__ import annotations

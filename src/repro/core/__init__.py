@@ -5,7 +5,9 @@ Three-phase online routing (paper Sec 6):
 1. **Phase 1** — assign a weight to every directed interconnect:
    ``W^(SDR) = L_ij`` for the shortest-distance baseline,
    ``W^(EAR) = f(N_B(j)) * L_ij`` for the energy-aware algorithm, where
-   ``f`` is a decreasing function of the reported battery level.
+   ``f`` is a decreasing function of the reported battery level
+   (:mod:`repro.core.costs`, with optional wear, harvest and congestion
+   terms).
 2. **Phase 2** — all-pairs shortest paths *and successors* via a
    Floyd–Warshall variant (paper Fig 5).
 3. **Phase 3** — pick, for every node and every module type, the
@@ -22,9 +24,9 @@ from .costs import (
     BatteryTerm,
     CongestionTerm,
     CostPipeline,
-    CostTerm,
     HarvestTerm,
     WearTerm,
+    sdr_weight_matrix,
 )
 from .engines import (
     EnergyAwareRouting,
@@ -41,21 +43,12 @@ from .parameters import ApplicationProfile
 from .phase3 import EcmpSelector, RoutingPlan, select_destinations
 from .upper_bound import UpperBoundResult, optimize_duplicates, theorem1
 from .view import NetworkView
-from .weights import (
-    BatteryWeightFunction,
-    CongestionWeightFunction,
-    ear_weight_matrix,
-    sdr_weight_matrix,
-)
 
 __all__ = [
     "ApplicationProfile",
     "BatteryTerm",
-    "BatteryWeightFunction",
     "CongestionTerm",
-    "CongestionWeightFunction",
     "CostPipeline",
-    "CostTerm",
     "EcmpSelector",
     "EnergyAwareRouting",
     "HarvestTerm",
@@ -65,7 +58,6 @@ __all__ = [
     "ShortestDistanceRouting",
     "UpperBoundResult",
     "WearTerm",
-    "ear_weight_matrix",
     "equal_cost_successors",
     "extract_path",
     "floyd_warshall_successors",

@@ -17,7 +17,8 @@ from ..units import require_positive
 from .geometry import node_coordinates, node_id
 
 #: Default physical distance between adjacent mesh nodes, in cm.  The
-#: value is derived from the paper's Table 2 (see DESIGN.md): the implied
+#: value is derived from the paper's Table 2 (see
+#: :mod:`repro.analysis.calibration`): the implied
 #: per-hop packet energy of ~116.7 pJ corresponds to a 128-bit packet
 #: over a ~2.045 cm textile line.
 DEFAULT_LINK_PITCH_CM = 2.045

@@ -134,36 +134,20 @@ class EngineBase:
 
         # --- control --------------------------------------------------------
         self.schedule = config.control.make_schedule(self.num_mesh_nodes)
-        #: One shared wear function keeps the routing penalty table and
-        #: the fault runtime's quantiser on the same parameters.  It is
-        #: None unless this is a wear-aware EAR run: SDR ignores wear,
-        #: and tracking it there would charge the controller spurious
-        #: recomputes, biasing EAR-vs-SDR comparisons under
-        #: --wear-weight.
-        wear_function = (
-            config.wear_function() if config.routing == "ear" else None
-        )
-        self._track_wear = wear_function is not None
-        # Same gating as wear: SDR ignores income, and tracking it there
-        # would charge the controller spurious recomputes, biasing
-        # EAR-vs-SDR comparisons under --harvest-weight.
-        harvest_function = (
-            config.harvest_function() if config.routing == "ear" else None
-        )
-        # Same gating again for congestion: SDR routes on lengths alone.
-        congestion_function = (
-            config.congestion_function() if config.routing == "ear" else None
-        )
+        #: The routing engine's cost terms are the one source of the
+        #: runtimes' quanta and level caps below.  SDR has none: it
+        #: ignores wear, income and load, and tracking them there would
+        #: charge the controller spurious recomputes, biasing EAR-vs-SDR
+        #: comparisons.
         routing_engine = (
-            EnergyAwareRouting(
-                config.weight_function(),
-                wear_function,
-                harvest_function,
-                congestion_function,
-            )
+            EnergyAwareRouting(*config.cost_terms())
             if config.routing == "ear"
             else ShortestDistanceRouting()
         )
+        wear_term = routing_engine.pipeline.term("wear")
+        harvest_term = routing_engine.pipeline.term("harvest")
+        congestion_term = routing_engine.pipeline.term("congestion")
+        self._track_wear = wear_term is not None
         if config.routing_opts.ecmp:
             routing_engine.configure_ecmp(config.routing_opts.ecmp_seed)
         self.control = ControlPlane(
@@ -213,9 +197,9 @@ class EngineBase:
                 horizon_frames=config.workload.max_frames,
             ),
             # The runtime quantises with the same cap the penalty table
-            # saturates at — one source of truth via the wear function.
-            wear_quantum=wear_function.quantum if wear_function else 0,
-            wear_levels=wear_function.levels if wear_function else 1,
+            # saturates at.
+            wear_quantum=wear_term.quantum if wear_term else 0,
+            wear_levels=wear_term.levels if wear_term else 1,
         )
         self.faults_injected = 0
         self.links_cut = 0
@@ -235,34 +219,28 @@ class EngineBase:
         self.harvest = HarvestRuntime(
             self.harvest_schedule,
             # Income is estimated with the same quantum the bonus table
-            # quantises at — one source of truth via the harvest
-            # function.
-            income_quantum=(
-                harvest_function.quantum if harvest_function else 0.0
-            ),
-            levels=harvest_function.levels if harvest_function else 1,
+            # quantises at.
+            income_quantum=harvest_term.quantum if harvest_term else 0.0,
+            levels=harvest_term.levels if harvest_term else 1,
         )
         self._track_income = (
-            harvest_function is not None and self.harvest.is_active
+            harvest_term is not None and self.harvest.is_active
         )
 
         # --- congestion tracking ------------------------------------------
         self.congestion = CongestionRuntime(
             # Load is estimated with the same quantum the penalty table
-            # quantises at — one source of truth via the congestion
-            # function.
-            quantum=(
-                congestion_function.quantum if congestion_function else 0.0
-            ),
-            levels=congestion_function.levels if congestion_function else 1,
+            # quantises at.
+            quantum=congestion_term.quantum if congestion_term else 0.0,
+            levels=congestion_term.levels if congestion_term else 1,
         )
-        self._track_load = congestion_function is not None
+        self._track_load = congestion_term is not None
         #: Levels are pushed to the controller only when the penalty can
         #: actually change a weight: a measure-only run (q == 1) tracks
         #: and reports utilisation without charging the controller
         #: spurious recomputes, so it is behaviour-identical to plain
         #: EAR — the congestion analysis' baseline.
-        self._push_load = self._track_load and not congestion_function.is_neutral
+        self._push_load = self._track_load and not congestion_term.is_neutral
         #: True when the frame hook has any work at all: income to
         #: apply, or a bus profile redistributing existing charge.
         self.harvest_active = (

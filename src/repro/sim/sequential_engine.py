@@ -18,7 +18,7 @@ accounted actions:
   the control plane ingests changed reports, recomputes routes when the
   picture changed, and downloads changed table entries.
 
-Failures follow the protocol described in DESIGN.md: any node death
+Failures follow this protocol: any node death
 during an operation's dispatch wastes the energy spent and re-dispatches
 the operation from the job's last stable holder; if the holder itself is
 dead the job is lost.  The system dies when a needed module becomes

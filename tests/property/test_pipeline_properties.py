@@ -1,12 +1,13 @@
 """Property tests for the cost pipeline and ECMP successor groups.
 
-The pipeline refactor's contract is *bit-identity*: composing the
-battery / wear / harvest terms through :class:`CostPipeline` must
-reproduce the historical monolithic weight path exactly, on randomised
-views — not just the golden points.  The ECMP properties pin the
-group-validity invariants (strict distance progress, cost within
-tolerance, canonical membership) that keep round-robin spreading
-loop-free on any weight matrix.
+The pipeline's contract is *bit-identity*: composing the battery /
+wear / harvest / congestion terms through :class:`CostPipeline` must
+reproduce the formula-level Phase-1 oracle (``tests/oracles.py``)
+exactly, on randomised views — not just the golden points — and any
+order of the terms must agree with the canonical one up to rounding.
+The ECMP properties pin the group-validity invariants (strict distance
+progress, cost within tolerance, canonical membership) that keep
+round-robin spreading loop-free on any weight matrix.
 """
 
 from __future__ import annotations
@@ -15,30 +16,29 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.costs import CostPipeline
+from oracles import reference_ear_weights
+from repro.core.costs import (
+    BatteryTerm,
+    CongestionTerm,
+    CostPipeline,
+    HarvestTerm,
+    WearTerm,
+    sdr_weight_matrix,
+)
 from repro.core.floyd_warshall import (
     NO_SUCCESSOR,
     equal_cost_successors,
     floyd_warshall_successors,
 )
 from repro.core.view import NetworkView
-from repro.core.weights import (
-    BatteryWeightFunction,
-    HarvestWeightFunction,
-    WearWeightFunction,
-    apply_harvest_bonus,
-    apply_wear_penalty,
-    ear_weight_matrix,
-    sdr_weight_matrix,
-)
 from repro.mesh.mapping import checkerboard_mapping
 from repro.mesh.topology import mesh2d
 
 
 @st.composite
-def random_views(draw, with_wear=False, with_income=False):
+def random_views(draw, with_wear=False, with_income=False, with_load=False):
     """Randomised small-mesh views: batteries, deaths, blocked ports,
-    and optional wear / income telemetry."""
+    and optional wear / income / load telemetry."""
     width = draw(st.integers(min_value=3, max_value=6))
     topo = mesh2d(width)
     size = topo.num_nodes
@@ -65,6 +65,11 @@ def random_views(draw, with_wear=False, with_income=False):
         income = np.round(
             rng.uniform(0.0, 40.0, size=size) * (rng.random(size) < 0.5), 3
         )
+    load = None
+    if with_load:
+        # Levels past the cap exercise the saturating lookup.
+        load = rng.integers(0, 10, size=(size, size))
+        np.fill_diagonal(load, 0)
     return NetworkView(
         lengths=topo.length_matrix(),
         alive=alive,
@@ -74,7 +79,12 @@ def random_views(draw, with_wear=False, with_income=False):
         blocked_ports=blocked,
         wear=wear,
         income=income,
+        load=load,
     )
+
+
+def all_terms():
+    return (BatteryTerm(), WearTerm(), HarvestTerm(), CongestionTerm())
 
 
 class TestPipelineBitIdentity:
@@ -91,25 +101,32 @@ class TestPipelineBitIdentity:
         q=st.floats(min_value=1.0, max_value=3.0),
     )
     def test_battery_pipeline_matches_ear(self, view, q):
-        fn = BatteryWeightFunction(q=q)
         assert np.array_equal(
-            CostPipeline.ear(fn).weight_matrix(view),
-            ear_weight_matrix(view, fn),
+            CostPipeline((BatteryTerm(q=q),)).weight_matrix(view),
+            reference_ear_weights(view, q),
         )
 
     @settings(max_examples=30, deadline=None)
-    @given(random_views(with_wear=True, with_income=True))
-    def test_full_pipeline_matches_manual_composition(self, view):
-        battery = BatteryWeightFunction()
-        wear = WearWeightFunction()
-        harvest = HarvestWeightFunction()
-        pipeline = CostPipeline.ear(
-            battery, wear_function=wear, harvest_function=harvest
+    @given(
+        view=random_views(with_wear=True, with_income=True, with_load=True),
+        qs=st.tuples(*[st.floats(min_value=1.0, max_value=2.0)] * 4),
+    )
+    def test_full_pipeline_matches_manual_composition(self, view, qs):
+        """All four terms in canonical order equal the formula-level
+        oracle bit for bit."""
+        q, wear_q, harvest_q, congestion_q = qs
+        pipeline = CostPipeline(
+            (
+                BatteryTerm(q=q),
+                WearTerm(q=wear_q),
+                HarvestTerm(q=harvest_q),
+                CongestionTerm(q=congestion_q),
+            )
         )
-        manual = ear_weight_matrix(view, battery)
-        manual = apply_wear_penalty(manual, view.wear, wear)
-        manual = apply_harvest_bonus(manual, view, harvest)
-        assert np.array_equal(pipeline.weight_matrix(view), manual)
+        expected = reference_ear_weights(
+            view, q, wear_q, harvest_q, congestion_q
+        )
+        assert np.array_equal(pipeline.weight_matrix(view), expected)
 
 
 class TestTermOrderIndependence:
@@ -119,21 +136,33 @@ class TestTermOrderIndependence:
         """Wear (link scale) and harvest (column scale) are both
         elementwise multiplications, so their order changes results
         only by float rounding."""
-        battery = BatteryWeightFunction()
-        wear = WearWeightFunction()
-        harvest = HarvestWeightFunction()
-        base = ear_weight_matrix(view, battery)
-        wear_first = apply_harvest_bonus(
-            apply_wear_penalty(base.copy(), view.wear, wear), view, harvest
-        )
-        harvest_first = apply_wear_penalty(
-            apply_harvest_bonus(base.copy(), view, harvest), view.wear, wear
+        battery, wear, harvest, _ = all_terms()
+        wear_first = CostPipeline((battery, wear, harvest)).weight_matrix(view)
+        harvest_first = CostPipeline((battery, harvest, wear)).weight_matrix(
+            view
         )
         finite = np.isfinite(wear_first)
         assert np.array_equal(finite, np.isfinite(harvest_first))
         assert np.allclose(
             wear_first[finite], harvest_first[finite], rtol=1e-12
         )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        view=random_views(with_wear=True, with_income=True, with_load=True),
+        order=st.permutations(range(4)),
+    )
+    def test_every_term_order_matches_canonical(self, view, order):
+        """Every term scales the running matrix, so no term — battery
+        included — discards the terms placed before it."""
+        terms = all_terms()
+        canonical = CostPipeline(terms).weight_matrix(view)
+        permuted = CostPipeline(
+            tuple(terms[i] for i in order)
+        ).weight_matrix(view)
+        finite = np.isfinite(canonical)
+        assert np.array_equal(finite, np.isfinite(permuted))
+        assert np.allclose(permuted[finite], canonical[finite], rtol=1e-12)
 
 
 class TestEcmpGroupValidity:

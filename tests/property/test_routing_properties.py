@@ -11,7 +11,7 @@ from repro.core.floyd_warshall import (
     extract_path,
     floyd_warshall_successors,
 )
-from repro.core.weights import BatteryWeightFunction
+from repro.core.costs import BatteryTerm
 
 
 @st.composite
@@ -87,7 +87,7 @@ def test_triangle_inequality(weights):
     levels=st.integers(min_value=2, max_value=16),
 )
 def test_weight_function_monotone_and_unit_at_full(q, levels):
-    f = BatteryWeightFunction(q=q, levels=levels)
+    f = BatteryTerm(q=q, levels=levels)
     values = [f(level) for level in range(levels)]
     assert values[-1] == pytest.approx(1.0)
     assert all(a >= b for a, b in zip(values, values[1:]))

@@ -15,7 +15,7 @@ from repro.errors import CalibrationError
 
 class TestCalibration:
     def test_implied_energy_per_job(self):
-        # DESIGN.md: Table 2 implies sum(H) ~ 7304.5 pJ.
+        # Table 2 implies sum(H) ~ 7304.5 pJ.
         total = implied_energy_per_job_pj()
         assert total == pytest.approx(7304.5, abs=2.0)
 

@@ -11,7 +11,13 @@ from repro.config import (
     SimulationConfig,
     WorkloadConfig,
 )
+from repro.core.costs import CostPipeline
 from repro.errors import ConfigurationError
+
+
+def term(config, name):
+    """The named cost term a config enables, or None."""
+    return CostPipeline(config.cost_terms()).term(name)
 
 
 class TestPlatformConfig:
@@ -128,7 +134,23 @@ class TestSimulationConfig:
     def test_defaults(self):
         config = SimulationConfig()
         assert config.routing == "ear"
-        assert config.weight_function().levels == 8
+        assert config.cost_terms()[0].levels == 8
+
+    def test_cost_terms_follow_the_pipeline_order(self):
+        config = SimulationConfig(
+            weight_q=2.0,
+            wear_aware=True,
+            harvest_aware=True,
+            routing_opts=RoutingOptions(congestion_aware=True),
+        )
+        terms = config.cost_terms()
+        assert [t.name for t in terms] == [
+            "battery", "wear", "harvest", "congestion",
+        ]
+        assert terms[0].q == 2.0
+        assert [t.name for t in SimulationConfig().cost_terms()] == [
+            "battery",
+        ]
 
     def test_routing_validation(self):
         with pytest.raises(ConfigurationError):
@@ -158,10 +180,10 @@ class TestSimulationConfig:
     def test_wear_defaults_and_validation(self):
         config = SimulationConfig()
         assert config.wear_aware is False
-        assert config.wear_function() is None
+        assert term(config, "wear") is None
         aware = SimulationConfig(wear_aware=True)
-        assert aware.wear_function() is not None
-        assert aware.wear_function().q == aware.wear_q
+        assert term(aware, "wear") is not None
+        assert term(aware, "wear").q == aware.wear_q
         with pytest.raises(ConfigurationError):
             SimulationConfig(wear_q=0.5)
         with pytest.raises(ConfigurationError):
@@ -173,7 +195,7 @@ class TestSimulationConfig:
         )
         restored = SimulationConfig.from_dict(config.to_dict())
         assert restored == config
-        assert restored.wear_function().quantum == 32
+        assert term(restored, "wear").quantum == 32
 
     def test_old_documents_without_wear_fields_still_load(self):
         raw = SimulationConfig().to_dict()
@@ -186,7 +208,7 @@ class TestRoutingOptions:
     def test_defaults_are_inert(self):
         config = SimulationConfig()
         assert config.routing_opts == RoutingOptions()
-        assert config.congestion_function() is None
+        assert term(config, "congestion") is None
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -200,7 +222,7 @@ class TestRoutingOptions:
                 congestion_aware=True, congestion_q=1.5
             )
         )
-        fn = aware.congestion_function()
+        fn = term(aware, "congestion")
         assert fn is not None and fn.q == 1.5
 
     def test_default_options_stay_out_of_the_document(self):

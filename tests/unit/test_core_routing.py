@@ -1,12 +1,15 @@
 """Unit tests for the routing core: weights, Floyd-Warshall, phase 3,
 engines (repro.core)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import repro.core.engines as engines
 from helpers import make_view
 from oracles import reference_floyd_warshall
+from repro.core.costs import BatteryTerm, WearTerm, sdr_weight_matrix
 from repro.core.engines import (
     EnergyAwareRouting,
     ShortestDistanceRouting,
@@ -19,13 +22,6 @@ from repro.core.floyd_warshall import (
     path_length,
 )
 from repro.core.phase3 import NO_DESTINATION, select_destinations
-from repro.core.weights import (
-    BatteryWeightFunction,
-    WearWeightFunction,
-    apply_wear_penalty,
-    ear_weight_matrix,
-    sdr_weight_matrix,
-)
 from repro.errors import (
     ConfigurationError,
     RoutingError,
@@ -37,61 +33,67 @@ from repro.sim.et_sim import run_simulation
 
 
 class TestWeightFunction:
+    """``BatteryTerm``: the paper's weighting function ``f``."""
+
     def test_full_battery_weight_is_one(self):
-        f = BatteryWeightFunction(q=1.5, levels=8)
+        f = BatteryTerm(q=1.5, levels=8)
         assert f(7) == pytest.approx(1.0)
 
     def test_monotone_decreasing_level_increases_weight(self):
-        f = BatteryWeightFunction(q=1.5, levels=8)
+        f = BatteryTerm(q=1.5, levels=8)
         weights = [f(level) for level in range(8)]
         assert all(a > b for a, b in zip(weights, weights[1:]))
 
     def test_paper_form(self):
         # f(n) = Q^(2*(N_B - 1 - n))
-        f = BatteryWeightFunction(q=2.0, levels=4)
+        f = BatteryTerm(q=2.0, levels=4)
         assert f(3) == 1.0
         assert f(2) == 4.0
         assert f(1) == 16.0
         assert f(0) == 64.0
 
     def test_q_one_degenerates_to_sdr(self):
-        f = BatteryWeightFunction(q=1.0, levels=8)
+        f = BatteryTerm(q=1.0, levels=8)
         assert all(f(level) == 1.0 for level in range(8))
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
-            BatteryWeightFunction(q=0.0)
+            BatteryTerm(q=0.0)
         with pytest.raises(ConfigurationError):
-            BatteryWeightFunction(levels=0)
-        f = BatteryWeightFunction(levels=8)
+            BatteryTerm(levels=0)
+        f = BatteryTerm(levels=8)
         with pytest.raises(ConfigurationError):
             f(8)
 
 
 class TestWearWeightFunction:
+    """``WearTerm``: the per-link wear penalty."""
+
     def test_pristine_link_is_unpenalised(self):
-        g = WearWeightFunction(q=1.3, quantum=8, levels=8)
+        g = WearTerm(q=1.3, quantum=8, levels=8)
         assert g(0) == pytest.approx(1.0)
 
     def test_monotone_and_saturating(self):
-        g = WearWeightFunction(q=1.3, quantum=8, levels=4)
+        g = WearTerm(q=1.3, quantum=8, levels=4)
         values = [g(level) for level in range(6)]
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert g(3) == g(5)  # saturates at levels - 1
 
     def test_q_one_degenerates_to_reactive_ear(self):
-        g = WearWeightFunction(q=1.0, quantum=8, levels=8)
+        g = WearTerm(q=1.0, quantum=8, levels=8)
         assert all(g(level) == 1.0 for level in range(8))
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
-            WearWeightFunction(q=0.9)
+            WearTerm(q=0.9)
         with pytest.raises(ConfigurationError):
-            WearWeightFunction(quantum=0)
+            WearTerm(quantum=0)
         with pytest.raises(ConfigurationError):
-            WearWeightFunction(levels=0)
+            WearTerm(quantum=0.5)  # a whole traversal count
         with pytest.raises(ConfigurationError):
-            WearWeightFunction()(-1)
+            WearTerm(levels=0)
+        with pytest.raises(ConfigurationError):
+            WearTerm()(-1)
 
     def test_apply_wear_penalty_preserves_conventions(
         self, mesh4, mapping4, full_view
@@ -100,8 +102,8 @@ class TestWearWeightFunction:
         wear = np.zeros((16, 16), dtype=int)
         wear[0, 1] = wear[1, 0] = 2
         wear[3, 3] = 5  # diagonal wear must stay inert
-        g = WearWeightFunction(q=1.5, quantum=8, levels=8)
-        penalised = apply_wear_penalty(weights, wear, g)
+        g = WearTerm(q=1.5, quantum=8, levels=8)
+        penalised = g.apply(weights, replace(full_view, wear=wear))
         pitch = mesh4.edge_length(0, 1)
         assert penalised[0, 1] == pytest.approx(pitch * 1.5**2)
         assert penalised[1, 0] == pytest.approx(pitch * 1.5**2)
@@ -114,17 +116,9 @@ class TestWearWeightFunction:
     ):
         wear = np.zeros((16, 16), dtype=int)
         wear[0, 1] = wear[1, 0] = 3
-        worn_view = make_view(mesh4, mapping4)
-        worn_view = type(worn_view)(
-            lengths=worn_view.lengths,
-            alive=worn_view.alive,
-            battery_levels=worn_view.battery_levels,
-            levels=worn_view.levels,
-            mapping=worn_view.mapping,
-            wear=wear,
-        )
-        g = WearWeightFunction(q=1.5, quantum=8, levels=8)
-        engine = EnergyAwareRouting(wear_function=g)
+        worn_view = replace(full_view, wear=wear)
+        g = WearTerm(q=1.5, quantum=8, levels=8)
+        engine = EnergyAwareRouting(BatteryTerm(), g)
         weights = engine.weight_matrix(worn_view)
         reactive = EnergyAwareRouting().weight_matrix(worn_view)
         assert weights[0, 1] == pytest.approx(reactive[0, 1] * 1.5**3)
@@ -154,22 +148,23 @@ class TestWeightMatrices:
         levels = np.full(16, 7)
         levels[1] = 0  # depleted node
         view = make_view(mesh4, mapping4, levels_vector=levels)
-        f = BatteryWeightFunction(q=1.5, levels=8)
-        weights = ear_weight_matrix(view, f)
+        f = BatteryTerm(q=1.5, levels=8)
+        weights = EnergyAwareRouting(f).weight_matrix(view)
         pitch = mesh4.edge_length(0, 1)
         assert weights[0, 1] == pytest.approx(pitch * f(0))
         assert weights[1, 0] == pytest.approx(pitch * 1.0)
 
     def test_ear_full_battery_equals_sdr(self, full_view):
-        f = BatteryWeightFunction(q=1.7, levels=8)
+        f = BatteryTerm(q=1.7, levels=8)
         assert np.array_equal(
-            ear_weight_matrix(full_view, f), sdr_weight_matrix(full_view)
+            EnergyAwareRouting(f).weight_matrix(full_view),
+            sdr_weight_matrix(full_view),
         )
 
     def test_level_count_mismatch_rejected(self, full_view):
-        f = BatteryWeightFunction(q=1.5, levels=16)
+        f = BatteryTerm(q=1.5, levels=16)
         with pytest.raises(ConfigurationError):
-            ear_weight_matrix(full_view, f)
+            EnergyAwareRouting(f).weight_matrix(full_view)
 
 
 class TestFloydWarshall:
@@ -323,7 +318,7 @@ class TestEngines:
         levels[depleted] = 0
         view = make_view(mesh4, mapping4, levels_vector=levels)
         ear_plan = EnergyAwareRouting(
-            BatteryWeightFunction(q=2.0, levels=8)
+            BatteryTerm(q=2.0, levels=8)
         ).compute_plan(view)
         sdr_plan = ShortestDistanceRouting().compute_plan(view)
         origin = node_id(1, 2, 4)  # module 3, adjacent to depleted node

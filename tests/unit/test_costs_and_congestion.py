@@ -1,37 +1,31 @@
 """Unit tests for the cost pipeline, congestion tracking and ECMP.
 
 Covers the pieces the routing refactor introduced: the composable
-``CostPipeline`` and its terms, the ``CongestionWeightFunction`` /
-penalty application, the shared ``LinkLevelStore``, the per-link EMA
+``CostPipeline`` and its terms, the ``CongestionTerm`` table and
+penalty, the shared ``LinkLevelStore``, the per-link EMA
 ``CongestionRuntime``, and the equal-cost successor machinery
 (``equal_cost_successors`` + ``EcmpSelector``).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import make_view
+from oracles import reference_ear_weights
 from repro.core import (
     BatteryTerm,
     CongestionTerm,
     CostPipeline,
-    CostTerm,
     EcmpSelector,
     HarvestTerm,
     WearTerm,
     equal_cost_successors,
+    sdr_weight_matrix,
 )
 from repro.core.floyd_warshall import floyd_warshall_successors
 from repro.core.link_levels import LinkLevelStore
-from repro.core.weights import (
-    BatteryWeightFunction,
-    CongestionWeightFunction,
-    HarvestWeightFunction,
-    WearWeightFunction,
-    apply_congestion_penalty,
-    ear_weight_matrix,
-    sdr_weight_matrix,
-)
 from repro.errors import ConfigurationError
 from repro.mesh.mapping import checkerboard_mapping
 from repro.mesh.topology import mesh2d
@@ -44,38 +38,47 @@ def build_view(**overrides):
 
 
 class TestCongestionWeightFunction:
+    """``CongestionTerm``: levels, table and bounds."""
+
     def test_defaults_and_cap(self):
-        f = CongestionWeightFunction()
+        f = CongestionTerm()
         assert f(0) == 1.0
         assert f(3) == pytest.approx(f.q**3)
         # Levels beyond the cap saturate at the top multiplier.
         assert f(99) == f(f.levels - 1)
 
     def test_neutral_detection(self):
-        assert CongestionWeightFunction(q=1.0).is_neutral
-        assert not CongestionWeightFunction().is_neutral
+        assert CongestionTerm(q=1.0).is_neutral
+        assert not CongestionTerm().is_neutral
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            CongestionWeightFunction(q=0.9)
+            CongestionTerm(q=0.9)
         with pytest.raises(ConfigurationError):
-            CongestionWeightFunction(quantum=0.0)
+            CongestionTerm(quantum=0.0)
         with pytest.raises(ConfigurationError):
-            CongestionWeightFunction(levels=0)
+            CongestionTerm(levels=0)
+        with pytest.raises(ConfigurationError):
+            CongestionTerm()(-1)
 
     def test_table_matches_call(self):
-        f = CongestionWeightFunction(q=1.5, levels=4)
-        assert np.allclose(f.table(), [f(i) for i in range(4)])
+        f = CongestionTerm(q=1.5, levels=4)
+        # Built once at construction, read-only, and outside equality.
+        assert np.array_equal(f._table, [f(i) for i in range(4)])
+        assert not f._table.flags.writeable
+        assert f == CongestionTerm(q=1.5, levels=4)
 
 
 class TestApplyCongestionPenalty:
+    """``CongestionTerm.apply``: the per-link penalty."""
+
     def test_scales_loaded_links_only(self):
-        view = build_view()
-        weights = sdr_weight_matrix(view)
         load = np.zeros((16, 16), dtype=int)
         load[0, 1] = load[1, 0] = 2
-        f = CongestionWeightFunction(q=2.0)
-        penalised = apply_congestion_penalty(weights.copy(), load, f)
+        view = replace(build_view(), load=load)
+        weights = sdr_weight_matrix(view)
+        f = CongestionTerm(q=2.0)
+        penalised = f.apply(weights.copy(), view)
         assert penalised[0, 1] == pytest.approx(weights[0, 1] * 4.0)
         assert penalised[1, 0] == pytest.approx(weights[1, 0] * 4.0)
         mask = np.ones_like(weights, dtype=bool)
@@ -86,15 +89,6 @@ class TestApplyCongestionPenalty:
 
 
 class TestCostPipeline:
-    def test_terms_satisfy_protocol(self):
-        for term in (
-            BatteryTerm(BatteryWeightFunction()),
-            WearTerm(WearWeightFunction()),
-            HarvestTerm(HarvestWeightFunction()),
-            CongestionTerm(CongestionWeightFunction()),
-        ):
-            assert isinstance(term, CostTerm)
-
     def test_empty_pipeline_is_sdr(self):
         view = build_view()
         assert np.array_equal(
@@ -102,11 +96,7 @@ class TestCostPipeline:
         )
 
     def test_ear_composition_and_lookup(self):
-        pipeline = CostPipeline.ear(
-            BatteryWeightFunction(),
-            wear_function=WearWeightFunction(),
-            congestion_function=CongestionWeightFunction(),
-        )
+        pipeline = CostPipeline((BatteryTerm(), WearTerm(), CongestionTerm()))
         assert [t.name for t in pipeline.terms] == [
             "battery", "wear", "congestion",
         ]
@@ -117,28 +107,20 @@ class TestCostPipeline:
 
     def test_terms_gate_on_view_telemetry(self):
         view = build_view()
-        assert BatteryTerm(BatteryWeightFunction()).applies(view)
-        assert not WearTerm(WearWeightFunction()).applies(view)
-        assert not CongestionTerm(CongestionWeightFunction()).applies(view)
-        loaded = build_view(
-            # make_view has no load kwarg; rebuild with load telemetry.
-        )
-        loaded = type(loaded)(
-            lengths=loaded.lengths,
-            alive=loaded.alive,
-            battery_levels=loaded.battery_levels,
-            levels=loaded.levels,
-            mapping=loaded.mapping,
-            load=np.zeros((16, 16), dtype=int),
-        )
-        assert CongestionTerm(CongestionWeightFunction()).applies(loaded)
+        assert BatteryTerm().applies(view)
+        assert not WearTerm().applies(view)
+        assert not HarvestTerm().applies(view)
+        assert not CongestionTerm().applies(view)
+        loaded = replace(view, load=np.zeros((16, 16), dtype=int))
+        assert CongestionTerm().applies(loaded)
 
     def test_battery_only_pipeline_matches_ear(self):
-        view = build_view()
-        fn = BatteryWeightFunction()
-        pipeline = CostPipeline.ear(fn)
+        levels = np.arange(16) % 8
+        view = build_view(levels_vector=levels)
+        pipeline = CostPipeline((BatteryTerm(),))
         assert np.array_equal(
-            pipeline.weight_matrix(view), ear_weight_matrix(view, fn)
+            pipeline.weight_matrix(view),
+            reference_ear_weights(view, BatteryTerm().q),
         )
 
 

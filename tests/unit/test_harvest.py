@@ -10,12 +10,8 @@ import pytest
 
 from helpers import make_config, make_view
 from repro.config import SimulationConfig
-from repro.core.weights import (
-    HARVEST_RICH_BAND,
-    HarvestWeightFunction,
-    apply_harvest_bonus,
-    ear_weight_matrix,
-)
+from repro.core.costs import BatteryTerm, CostPipeline, HarvestTerm
+from repro.core.weights import HARVEST_RICH_BAND
 from repro.errors import ConfigurationError
 from repro.harvest import (
     HARVEST_PROFILES,
@@ -91,10 +87,12 @@ class TestHarvestConfig:
             SimulationConfig(harvest_quantum=0.0)
 
     def test_harvest_function_gated_by_flag(self):
-        assert SimulationConfig().harvest_function() is None
-        function = SimulationConfig(harvest_aware=True).harvest_function()
-        assert function is not None
-        assert function.q >= 1.0
+        plain = CostPipeline(SimulationConfig().cost_terms())
+        assert plain.term("harvest") is None
+        aware = CostPipeline(SimulationConfig(harvest_aware=True).cost_terms())
+        term = aware.term("harvest")
+        assert term is not None
+        assert term.q >= 1.0
 
 
 class TestHarvestHardware:
@@ -330,39 +328,43 @@ class TestHarvestRuntime:
 
 
 class TestHarvestWeightFunction:
+    """``HarvestTerm``: levels and bounds."""
+
     def test_level_zero_is_unweighted(self):
-        assert HarvestWeightFunction()(0) == 1.0
+        assert HarvestTerm()(0) == 1.0
 
     def test_richer_is_cheaper(self):
-        function = HarvestWeightFunction(q=1.3)
+        function = HarvestTerm(q=1.3)
         values = [function(level) for level in range(8)]
         assert values == sorted(values, reverse=True)
         assert all(v <= 1.0 for v in values)
 
     def test_saturates_at_level_cap(self):
-        function = HarvestWeightFunction(q=1.3, levels=4)
+        function = HarvestTerm(q=1.3, levels=4)
         assert function(3) == function(99)
 
     def test_q_one_degenerates_to_reactive(self):
-        function = HarvestWeightFunction(q=1.0)
+        function = HarvestTerm(q=1.0)
         assert all(function(level) == 1.0 for level in range(8))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
-            HarvestWeightFunction(q=0.5)
+            HarvestTerm(q=0.5)
         with pytest.raises(ConfigurationError):
-            HarvestWeightFunction(quantum=0.0)
+            HarvestTerm(quantum=0.0)
         with pytest.raises(ConfigurationError):
-            HarvestWeightFunction(levels=0)
+            HarvestTerm(levels=0)
         with pytest.raises(ConfigurationError):
-            HarvestWeightFunction()(-1)
+            HarvestTerm()(-1)
 
 
 class TestApplyHarvestBonus:
+    """``HarvestTerm.apply``: the gated receiver bonus."""
+
     def test_bonus_applies_only_to_nearly_full_receivers(self):
         topology = mesh2d(3)
         mapping = checkerboard_mapping(topology, range(9))
-        function = HarvestWeightFunction(q=1.5)
+        function = HarvestTerm(q=1.5)
         # Node 0 reports full and harvesting, node 1 depleted and
         # harvesting: only the full one gets cheaper.
         levels_vector = np.full(9, 7, dtype=int)
@@ -371,9 +373,8 @@ class TestApplyHarvestBonus:
         income[0] = 3
         income[1] = 3
         view = make_view(topology, mapping, levels_vector=levels_vector)
-        base = ear_weight_matrix(view, view_function())
-        view_income = replace_income(view, income)
-        boosted = apply_harvest_bonus(base.copy(), view_income, function)
+        base = battery_weights(view)
+        boosted = function.apply(base.copy(), replace(view, income=income))
         assert boosted[3, 0] == pytest.approx(
             base[3, 0] * function(3)
         )
@@ -385,32 +386,17 @@ class TestApplyHarvestBonus:
     def test_bonus_preserves_floyd_warshall_conventions(self):
         topology = mesh2d(3)
         mapping = checkerboard_mapping(topology, range(9))
-        function = HarvestWeightFunction(q=1.5)
+        function = HarvestTerm(q=1.5)
         income = np.full(9, 5, dtype=int)
         view = make_view(topology, mapping)
-        view_income = replace_income(view, income)
-        base = ear_weight_matrix(view, view_function())
-        boosted = apply_harvest_bonus(base.copy(), view_income, function)
+        base = battery_weights(view)
+        boosted = function.apply(base.copy(), replace(view, income=income))
         assert np.all(np.isinf(boosted) == np.isinf(base))
         assert np.all(np.diag(boosted) == 0.0)
 
 
-def view_function():
-    from repro.core.weights import BatteryWeightFunction
-
-    return BatteryWeightFunction()
-
-
-def replace_income(view, income):
-    return type(view)(
-        lengths=view.lengths,
-        alive=view.alive,
-        battery_levels=view.battery_levels,
-        levels=view.levels,
-        mapping=view.mapping,
-        blocked_ports=view.blocked_ports,
-        income=income,
-    )
+def battery_weights(view):
+    return CostPipeline((BatteryTerm(),)).weight_matrix(view)
 
 
 class TestCacheInvalidation:

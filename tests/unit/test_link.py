@@ -104,8 +104,8 @@ class TestLinkEnergyModel:
 
     def test_calibrated_pitch_matches_paper_implied_energy(self):
         model = LinkEnergyModel()
-        # DESIGN.md: Table 2 implies ~116.7 pJ per hop at the default
-        # 2.045 cm pitch.
+        # Table 2 implies ~116.7 pJ per hop at the default 2.045 cm
+        # pitch (repro.analysis.calibration).
         assert model.hop_energy_pj(2.045) == pytest.approx(116.7, abs=0.5)
 
     def test_path_energy_sums_hops(self):

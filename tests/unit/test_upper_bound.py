@@ -13,7 +13,8 @@ from repro.errors import ConfigurationError
 
 @pytest.fixture
 def aes_profile():
-    """AES profile at the calibrated per-hop energy (DESIGN.md)."""
+    """AES profile at the calibrated per-hop energy (see
+    repro.analysis.calibration)."""
     return ApplicationProfile.aes128(116.74)
 
 
