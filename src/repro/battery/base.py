@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from ..errors import BatteryError, ConfigurationError
+from ..errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class DrawResult:
+class DrawResult(NamedTuple):
     """Outcome of one energy draw from a battery.
+
+    A named tuple rather than a frozen dataclass: every hop, operation
+    and heartbeat builds one, and tuple construction costs a fraction
+    of a frozen dataclass's per-field ``object.__setattr__``.
 
     Attributes:
         requested_pj: Energy the load asked for.
@@ -123,7 +126,3 @@ class Battery(abc.ABC):
         overrides this to include its rate-capacity penalty.
         """
         return self.delivered_pj
-
-    def _guard_alive(self) -> None:
-        if not self.alive:
-            raise BatteryError("cannot draw from a dead battery")

@@ -8,7 +8,7 @@ depletion" (Sec 7.2).
 
 from __future__ import annotations
 
-from ..errors import ConfigurationError
+from ..errors import BatteryError, ConfigurationError
 from ..units import require_positive
 from .base import Battery, DrawResult
 
@@ -69,28 +69,25 @@ class IdealBattery(Battery):
 
     @property
     def state_of_charge(self) -> float:
-        return min(1.0, max(0.0, 1.0 - self.consumed_pj / self._capacity))
+        consumed = self._delivered - self._recharged
+        return min(1.0, max(0.0, 1.0 - consumed / self._capacity))
 
     def draw(self, energy_pj: float, duration_cycles: float) -> DrawResult:
-        self._guard_alive()
+        if not self._alive:
+            raise BatteryError("cannot draw from a dead battery")
         if energy_pj < 0:
             raise ConfigurationError(f"cannot draw negative energy {energy_pj}")
         if duration_cycles <= 0:
             raise ConfigurationError(
                 f"draw duration must be positive, got {duration_cycles}"
             )
-        available = self._capacity - self.consumed_pj
-        delivered = min(energy_pj, available)
+        recharged = self._recharged
+        delivered = min(energy_pj, self._capacity - (self._delivered - recharged))
         self._delivered += delivered
-        died = self.consumed_pj >= self._capacity - 1e-9
+        died = self._delivered - recharged >= self._capacity - 1e-9
         if died:
             self._alive = False
-        return DrawResult(
-            requested_pj=energy_pj,
-            delivered_pj=delivered,
-            died=died,
-            voltage=self._voltage,
-        )
+        return DrawResult(energy_pj, delivered, died, self._voltage)
 
     def recharge(self, energy_pj: float) -> float:
         """Accept harvested charge (100 % efficiency, capped at nominal).

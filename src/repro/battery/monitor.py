@@ -78,14 +78,17 @@ class LevelTracker:
 
     def observe(self, node: int, battery: Battery) -> bool:
         """Record the node's current level; return True if it changed."""
-        level = self._quantizer.level_of(battery)
         alive = battery.alive
-        changed = (
-            self._last.get(node) != level or self._alive.get(node) != alive
+        level = (
+            self._quantizer.level_of_fraction(battery.state_of_charge)
+            if alive
+            else 0
         )
+        if self._last.get(node) == level and self._alive.get(node) == alive:
+            return False
         self._last[node] = level
         self._alive[node] = alive
-        return changed
+        return True
 
     def level(self, node: int) -> int:
         """Last recorded level of ``node`` (0 if never observed)."""

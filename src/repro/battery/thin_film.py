@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..errors import ConfigurationError
+from ..errors import BatteryError, ConfigurationError
 from ..units import require_non_negative, require_positive
 from .base import Battery, DrawResult
 from .profile import LI_FREE_THIN_FILM_PROFILE, DischargeProfile
@@ -163,7 +163,9 @@ class ThinFilmBattery(Battery):
 
     @property
     def state_of_charge(self) -> float:
-        return 1.0 - self.depth_of_discharge
+        # Read once per node per frame by the level tracker, so the
+        # depth-of-discharge expression is spelled out, not chained.
+        return 1.0 - min(1.0, self._consumed / self._p.capacity_pj)
 
     @property
     def open_circuit_voltage(self) -> float:
@@ -196,12 +198,9 @@ class ThinFilmBattery(Battery):
     # ------------------------------------------------------------------
     # Discrete-time dynamics
     # ------------------------------------------------------------------
-    def _update_ema(self, power_pj_per_cycle: float, duration_cycles: float) -> None:
-        alpha = 1.0 - math.exp(-duration_cycles / self._p.ema_window_cycles)
-        self._ema_power += alpha * (power_pj_per_cycle - self._ema_power)
-
     def draw(self, energy_pj: float, duration_cycles: float) -> DrawResult:
-        self._guard_alive()
+        if not self._alive:
+            raise BatteryError("cannot draw from a dead battery")
         if energy_pj < 0:
             raise ConfigurationError(f"cannot draw negative energy {energy_pj}")
         if duration_cycles <= 0:
@@ -209,46 +208,54 @@ class ThinFilmBattery(Battery):
                 f"draw duration must be positive, got {duration_cycles}"
             )
         if energy_pj == 0:
-            return DrawResult(0.0, 0.0, died=False, voltage=self.voltage)
+            return DrawResult(0.0, 0.0, False, self.voltage)
 
-        self._update_ema(energy_pj / duration_cycles, duration_cycles)
+        # Every hop, operation and heartbeat lands here, so the model is
+        # evaluated on locals; each expression keeps the operation order
+        # of _current_ma/_loaded_voltage, so results are bit-identical.
+        p = self._p
+        capacity = p.capacity_pj
+        voltage_at = p.profile.voltage_at
+        # The EMA of drawn power is the model's discrete time step.
+        alpha = 1.0 - math.exp(-duration_cycles / p.ema_window_cycles)
+        ema = self._ema_power
+        ema += alpha * (energy_pj / duration_cycles - ema)
+        self._ema_power = ema
         # Evaluate the discharge curve once per state: the pre-draw OCV
         # feeds the rate penalty, the post-draw OCV feeds sag and death.
-        ocv_before = self.open_circuit_voltage
-        ratio = self._current_ma(ocv_before) / self._p.reference_current_ma
-        penalty = (
-            1.0
-            + self._p.rate_penalty_coeff
-            * ratio ** self._p.rate_penalty_exponent
-        )
+        # (voltage_at clamps a DoD past 1.0 itself.)
+        consumed = self._consumed
+        ocv = voltage_at(consumed / capacity)
+        current = 0.0 if ocv <= 0 else ema * _PJ_PER_CYCLE_TO_MW / ocv
+        ratio = current / p.reference_current_ma
+        penalty = 1.0 + p.rate_penalty_coeff * ratio ** p.rate_penalty_exponent
         charge_needed = energy_pj * penalty
-        available = self._p.capacity_pj - self._consumed
+        available = capacity - consumed
 
         exhausted = charge_needed >= available - 1e-9
         if exhausted:
             delivered = max(0.0, available / penalty)
-            self._consumed = self._p.capacity_pj
+            consumed = capacity
         else:
             delivered = energy_pj
-            self._consumed += charge_needed
+            consumed += charge_needed
+        self._consumed = consumed
         self._delivered += delivered
 
-        ocv_after = self.open_circuit_voltage
-        loaded_voltage = self._loaded_voltage(ocv_after)
-        voltage_death = (
-            not self._p.allow_recovery
-            and loaded_voltage < self._p.cutoff_voltage
+        ocv = voltage_at(consumed / capacity)
+        current = 0.0 if ocv <= 0 else ema * _PJ_PER_CYCLE_TO_MW / ocv
+        loaded_voltage = max(
+            0.0, ocv - current * p.internal_resistance_ohm / 1e3
         )
-        ocv_death = ocv_after < self._p.cutoff_voltage
-        died = exhausted or voltage_death or ocv_death
+        cutoff = p.cutoff_voltage
+        died = (
+            exhausted
+            or (not p.allow_recovery and loaded_voltage < cutoff)
+            or ocv < cutoff
+        )
         if died:
             self._alive = False
-        return DrawResult(
-            requested_pj=energy_pj,
-            delivered_pj=delivered,
-            died=died,
-            voltage=loaded_voltage,
-        )
+        return DrawResult(energy_pj, delivered, died, loaded_voltage)
 
     def recharge(self, energy_pj: float) -> float:
         """Accept harvested charge by rolling the depth of discharge back.

@@ -393,26 +393,34 @@ class EngineBase:
         battery bank while keeping the observable behaviour (report
         set, energy ledger, death hooks) identical.
         """
+        # Runs once per node per frame: everything loop-invariant is
+        # read once, and liveness is tracked in a local (a draw kills
+        # the unit exactly when it reports ``died``).
+        schedule = self.schedule
+        upload_pj = schedule.upload_energy_pj
+        slot_cycles = schedule.upload_slot_cycles
+        frame_cycles = schedule.frame_cycles
+        nodes = self.nodes
+        ledger = self.ledger
+        tracker = self.tracker
+        pending = self.pending_deadlock
         reports: list[StatusReport] = []
         heartbeats = 0
         for node in range(self.num_mesh_nodes):
-            unit = self.nodes[node]
-            if unit.battery is None:
-                raise SimulationError("mesh nodes must carry batteries")
-            if unit.alive:
+            unit = nodes[node]
+            alive = unit.alive
+            if alive:
                 heartbeats += 1
-                result = unit.draw(
-                    self.schedule.upload_energy_pj,
-                    self.schedule.upload_slot_cycles,
-                )
-                self.ledger.add_upload(node, result.delivered_pj)
+                result = unit.draw(upload_pj, slot_cycles)
+                ledger.add_upload(node, result.delivered_pj)
                 if result.died:
+                    alive = False
                     self.on_node_death(node)
             # Liveness and level are observed through the *unit*, not the
             # battery: a fault-killed node is dead with a charged cell,
             # and its death must reach the controller like any other.
-            blocked = self.pending_deadlock.pop(node, None)
-            if blocked is not None and unit.alive:
+            blocked = pending.pop(node, None) if pending else None
+            if blocked is not None and alive:
                 self.deadlocks_reported += 1
                 if self._trace:
                     self.recorder.event(
@@ -424,22 +432,20 @@ class EngineBase:
                 reports.append(
                     StatusReport(
                         node=node,
-                        level=self.tracker.level(node),
-                        alive=unit.alive,
+                        level=tracker.level(node),
+                        alive=True,
                         blocked_port=blocked,
                     )
                 )
-                self.tracker.observe(node, unit)
-            elif self.tracker.observe(node, unit):
+                tracker.observe(node, unit)
+            elif tracker.observe(node, unit):
                 reports.append(
                     StatusReport(
-                        node=node,
-                        level=self.tracker.level(node),
-                        alive=unit.alive,
+                        node=node, level=tracker.level(node), alive=alive
                     )
                 )
-            if unit.alive:
-                unit.rest(self.schedule.frame_cycles)
+            if alive:
+                unit.rest(frame_cycles)
         return reports, heartbeats
 
     # ------------------------------------------------------------------

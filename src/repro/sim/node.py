@@ -42,9 +42,8 @@ class NetworkNode:
     # ------------------------------------------------------------------
     @property
     def alive(self) -> bool:
-        if self.fault_killed:
-            return False
-        return self.battery is None or self.battery.alive
+        battery = self.battery
+        return not self.fault_killed and (battery is None or battery.alive)
 
     def fail(self) -> None:
         """Kill this node physically (cut trace, crushed module, ...)."""
@@ -67,21 +66,18 @@ class NetworkNode:
         engines must check :attr:`alive` first, so hitting this is a
         simulator bug, not a modelling event.
         """
-        if not self.alive:
+        battery = self.battery
+        if self.fault_killed or (battery is not None and not battery.alive):
             raise DeadNodeError(self.node_id, "draw energy")
-        if self.battery is None:
+        if battery is None:
             self._infinite_drawn += energy_pj
-            return DrawResult(
-                requested_pj=energy_pj,
-                delivered_pj=energy_pj,
-                died=False,
-                voltage=3.6,
-            )
-        return self.battery.draw(energy_pj, duration_cycles)
+            return DrawResult(energy_pj, energy_pj, False, 3.6)
+        return battery.draw(energy_pj, duration_cycles)
 
     def rest(self, duration_cycles: float) -> None:
-        if self.battery is not None and self.battery.alive:
-            self.battery.rest(duration_cycles)
+        battery = self.battery
+        if battery is not None and battery.alive:
+            battery.rest(duration_cycles)
 
     @property
     def infinite_drawn_pj(self) -> float:
