@@ -21,9 +21,9 @@ from .transforms import (
 )
 
 
-def expand_key(key: bytes) -> list[bytes]:
+def expand_key(key: bytes) -> tuple[bytes, ...]:
     """Public alias for the round-key schedule (see :mod:`key_expansion`)."""
-    return round_keys(key)
+    return round_keys(bytes(key))
 
 
 def encrypt_block(plaintext: bytes, key: bytes) -> bytes:
@@ -36,7 +36,7 @@ def encrypt_block(plaintext: bytes, key: bytes) -> bytes:
     the paper's ``(f1, f2, f3) = (10, 9, 11)``.
     """
     state = validate_block(plaintext, name="plaintext")
-    keys = round_keys(key)
+    keys = round_keys(bytes(key))
     nr = rounds_for_key(key)
 
     state = add_round_key(state, keys[0])
@@ -54,7 +54,7 @@ def encrypt_block(plaintext: bytes, key: bytes) -> bytes:
 def decrypt_block(ciphertext: bytes, key: bytes) -> bytes:
     """Decrypt a single 16-byte block (inverse cipher, FIPS-197 Sec 5.3)."""
     state = validate_block(ciphertext, name="ciphertext")
-    keys = round_keys(key)
+    keys = round_keys(bytes(key))
     nr = rounds_for_key(key)
 
     state = add_round_key(state, keys[nr])

@@ -9,6 +9,8 @@ and its cost is folded into the measured E3 energy.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .gf import xtime
 from .sbox import SBOX
 from .state import BLOCK_BYTES, NB
@@ -69,12 +71,18 @@ def expand_key_words(key: bytes) -> list[tuple[int, int, int, int]]:
     return words
 
 
-def round_keys(key: bytes) -> list[bytes]:
+@lru_cache(maxsize=32)
+def round_keys(key: bytes) -> tuple[bytes, ...]:
     """Return the ``Nr + 1`` round keys as 16-byte blocks.
 
     Round key ``r`` is the concatenation of words ``w[4r .. 4r+3]``; the
     byte order matches the column-major state layout, so
     :func:`repro.aes.transforms.add_round_key` can XOR it directly.
+
+    Memoised per key (which must therefore be hashable ``bytes``): the
+    simulator encrypts every job's reference block under one key, and
+    the schedule is an immutable tuple, so one expansion is shared by
+    the cipher and every dataflow under that key.
     """
     words = expand_key_words(key)
     nr = rounds_for_key(key)
@@ -86,4 +94,4 @@ def round_keys(key: bytes) -> list[bytes]:
         if len(chunk) != BLOCK_BYTES:
             raise AssertionError("round key construction produced a bad block")
         keys.append(bytes(chunk))
-    return keys
+    return tuple(keys)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 
+from ..aes.energy import module_energy_pj
 from ..battery.monitor import BatteryLevelQuantizer, LevelTracker
 from ..config import SimulationConfig
 from ..control.controller import ControlPlane, StatusReport
@@ -837,8 +838,6 @@ class EngineBase:
         return not result.died
 
     def _module_energy(self, module: int) -> float:
-        from ..aes.energy import module_energy_pj
-
         return module_energy_pj(module)
 
     def _compute_cycles(self, module: int) -> int:
