@@ -3,6 +3,7 @@
 import pytest
 
 from repro.aes.cipher import decrypt_block, encrypt_block, expand_key
+from repro.aes.dataflow import AesJobDataflow
 from repro.aes.key_expansion import (
     expand_key_words,
     round_keys,
@@ -44,6 +45,25 @@ class TestKeyExpansion:
 
     def test_expand_key_alias(self):
         assert expand_key(bytes(16)) == round_keys(bytes(16))
+
+    def test_schedule_is_memoised_and_immutable(self):
+        key = KEY_EXPANSION_EXAMPLE_KEY
+        schedule = round_keys(key)
+        assert isinstance(schedule, tuple)
+        assert round_keys(bytes(key)) is schedule
+        assert AesJobDataflow(key)._schedule is schedule
+        # The memoised value is the full, uncached expansion.
+        words = expand_key_words(key)
+        assert schedule == tuple(
+            bytes(b for word in words[4 * r : 4 * r + 4] for b in word)
+            for r in range(len(schedule))
+        )
+
+    def test_cipher_accepts_a_bytearray_key(self):
+        key = KEY_EXPANSION_EXAMPLE_KEY
+        block = bytes(range(16))
+        assert encrypt_block(block, bytearray(key)) == encrypt_block(block, key)
+        assert decrypt_block(encrypt_block(block, key), bytearray(key)) == block
 
 
 class TestCipherKnownAnswers:

@@ -2,10 +2,48 @@
 
 import pytest
 
+from repro.battery.base import DrawResult
 from repro.battery.ideal import IdealBattery
 from repro.battery.monitor import BatteryLevelQuantizer, LevelTracker
 from repro.battery.thin_film import ThinFilmBattery, ThinFilmParameters
 from repro.errors import BatteryError, ConfigurationError
+
+
+class TestDrawResult:
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = DrawResult(
+            requested_pj=5.0, delivered_pj=4.0, died=True, voltage=2.9
+        )
+        by_position = DrawResult(5.0, 4.0, True, 2.9)
+        mixed = DrawResult(5.0, 4.0, died=True, voltage=2.9)
+        assert by_keyword == by_position == mixed
+        assert by_keyword.requested_pj == 5.0
+        assert by_keyword.delivered_pj == 4.0
+        assert by_keyword.died is True
+        assert by_keyword.voltage == 2.9
+
+    def test_equality_compares_every_field(self):
+        base = DrawResult(5.0, 5.0, False, 3.6)
+        assert base == DrawResult(5.0, 5.0, False, 3.6)
+        assert base != DrawResult(5.0, 4.0, False, 3.6)
+        assert base != DrawResult(5.0, 5.0, True, 3.6)
+        assert base != DrawResult(5.0, 5.0, False, 3.5)
+
+    def test_complete(self):
+        assert DrawResult(5.0, 5.0, False, 3.6).complete
+        assert DrawResult(5.0, 5.0 - 1e-12, False, 3.6).complete
+        assert not DrawResult(5.0, 4.0, True, 3.6).complete
+
+    def test_immutable(self):
+        result = DrawResult(5.0, 5.0, False, 3.6)
+        with pytest.raises(AttributeError):
+            result.died = True
+
+    def test_battery_draws_return_it(self):
+        for battery in (IdealBattery(100.0), ThinFilmBattery()):
+            result = battery.draw(10.0, 10)
+            assert isinstance(result, DrawResult)
+            assert result.complete
 
 
 class TestIdealBattery:

@@ -1,6 +1,7 @@
 """Unit tests for the simulator building blocks: nodes, jobs, workload,
 stats (repro.sim)."""
 
+import numpy as np
 import pytest
 
 from repro.aes.cipher import encrypt_block
@@ -34,6 +35,17 @@ class TestNetworkNode:
         assert not node.alive
         with pytest.raises(DeadNodeError):
             node.draw(1.0, 1)
+
+    def test_drawing_from_fault_killed_node_is_a_bug(self):
+        node = NetworkNode(0, module=1, battery=IdealBattery(10.0))
+        node.fail()
+        assert not node.alive
+        with pytest.raises(DeadNodeError):
+            node.draw(1.0, 1)
+        # The charged cell is untouched, and resting a dead node is a
+        # no-op rather than an error.
+        assert node.battery.delivered_pj == 0.0
+        node.rest(100)
 
     def test_repr(self):
         assert "module=2" in repr(
@@ -104,6 +116,14 @@ class TestJobFactory:
         a = JobFactory(bytes(16), seed=7, origin=0).next_job()
         b = JobFactory(bytes(16), seed=8, origin=0).next_job()
         assert a.plaintext != b.plaintext
+
+    def test_plaintext_is_the_seeded_byte_draw(self):
+        # One draw of 16 integers in [0, 256) per job, read as bytes.
+        rng = np.random.default_rng(7)
+        factory = JobFactory(bytes(16), seed=7, origin=0)
+        for _ in range(3):
+            expected = bytes(int(b) for b in rng.integers(0, 256, size=16))
+            assert factory.next_job().plaintext == expected
 
     def test_ids_sequential(self):
         factory = JobFactory(bytes(16), seed=1, origin=0)
