@@ -45,7 +45,11 @@ from .backends import default_backend_name, make_backend
 #: the ``harvest`` section gained a nested ``hardware`` spec and
 #: ``share_max_hops``, the platform gained the ``harvest-proportional``
 #: mapping strategy, and summaries gained ``share_hops``.
-CACHE_SCHEMA_VERSION = 5
+#: v6: a deadlock report carries the level observed in the same frame
+#: (it used to carry the previous frame's level, so a crossing in the
+#: reporting frame never reached the controller) — concurrent-engine
+#: runs with deadlock reports changed.
+CACHE_SCHEMA_VERSION = 6
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "ETSIM_CACHE_DIR"

@@ -420,6 +420,9 @@ class EngineBase:
             # Liveness and level are observed through the *unit*, not the
             # battery: a fault-killed node is dead with a charged cell,
             # and its death must reach the controller like any other.
+            # Observe before reporting, so a deadlock report carries a
+            # level crossed in this very frame.
+            changed = tracker.observe(node, unit)
             blocked = pending.pop(node, None) if pending else None
             if blocked is not None and alive:
                 self.deadlocks_reported += 1
@@ -438,8 +441,7 @@ class EngineBase:
                         blocked_port=blocked,
                     )
                 )
-                tracker.observe(node, unit)
-            elif tracker.observe(node, unit):
+            elif changed:
                 reports.append(
                     StatusReport(
                         node=node, level=tracker.level(node), alive=alive

@@ -64,6 +64,25 @@ class TestFrameProtocol:
         expected = 16 * engine.schedule.upload_energy_pj
         assert engine.ledger.upload_pj == pytest.approx(expected)
 
+    def test_deadlock_report_carries_a_level_crossed_this_frame(self):
+        engine = sequential_engine(battery_model="ideal")
+        engine.control.bootstrap()
+        node = 5
+        unit = engine.nodes[node]
+        upload = engine.schedule.upload_energy_pj
+        # Leave the cell half an upload above the 7/8 level boundary:
+        # the frame's upload draw crosses it (level 7 -> 6).
+        capacity = unit.battery.nominal_capacity_pj
+        unit.battery.draw(capacity / 8 - upload / 2, 1)
+        assert engine.tracker.level(node) == 7
+        blocked = engine.topology.neighbors(node)[0]
+        engine.pending_deadlock[node] = blocked
+        reports, _ = engine._heartbeat_phase()
+        [report] = [r for r in reports if r.node == node]
+        assert report.blocked_port == blocked
+        assert engine.tracker.level(node) == 6
+        assert report.level == 6
+
     def test_frame_budget_raises(self):
         engine = SequentialEngine(make_config(max_frames=3))
         engine.control.bootstrap()
