@@ -103,7 +103,7 @@ def operations_per_module(rounds: int = 10) -> dict[int, int]:
 class AesJobDataflow:
     """Executable dataflow of one distributed AES job.
 
-    The object owns the key schedule and applies individual operations to
+    The object holds the key schedule and applies individual operations to
     a carried 16-byte state, which is exactly what a network node does
     when a packet arrives.  It is deliberately independent of any
     network/topology concept: the simulator asks *what* must be computed,

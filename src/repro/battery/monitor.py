@@ -79,11 +79,8 @@ class LevelTracker:
     def observe(self, node: int, battery: Battery) -> bool:
         """Record the node's current level; return True if it changed."""
         alive = battery.alive
-        level = (
-            self._quantizer.level_of_fraction(battery.state_of_charge)
-            if alive
-            else 0
-        )
+        quantize = self._quantizer.level_of_fraction
+        level = quantize(battery.state_of_charge) if alive else 0
         if self._last.get(node) == level and self._alive.get(node) == alive:
             return False
         self._last[node] = level

@@ -163,8 +163,6 @@ class ThinFilmBattery(Battery):
 
     @property
     def state_of_charge(self) -> float:
-        # Read once per node per frame by the level tracker, so the
-        # depth-of-discharge expression is spelled out, not chained.
         return 1.0 - min(1.0, self._consumed / self._p.capacity_pj)
 
     @property
@@ -172,28 +170,19 @@ class ThinFilmBattery(Battery):
         """Voltage of the cell with the load removed."""
         return self._p.profile.voltage_at(self.depth_of_discharge)
 
-    def _current_ma(self, ocv: float) -> float:
-        """Smoothed load current at a known open-circuit voltage."""
-        if ocv <= 0:
-            return 0.0
-        return self._ema_power * _PJ_PER_CYCLE_TO_MW / ocv
-
-    def _loaded_voltage(self, ocv: float) -> float:
-        """IR-sagged output voltage at a known open-circuit voltage."""
-        sag = self._current_ma(ocv) * self._p.internal_resistance_ohm / 1e3
-        return max(0.0, ocv - sag)
-
     @property
     def smoothed_current_ma(self) -> float:
         """Exponentially averaged load current in mA."""
-        return self._current_ma(self.open_circuit_voltage)
+        ocv = self.open_circuit_voltage
+        return 0.0 if ocv <= 0 else self._ema_power * _PJ_PER_CYCLE_TO_MW / ocv
 
     @property
     def voltage(self) -> float:
         """Loaded output voltage ``V_oc - I_ema * R`` (0 when dead)."""
         if not self._alive:
             return 0.0
-        return self._loaded_voltage(self.open_circuit_voltage)
+        sag = self.smoothed_current_ma * self._p.internal_resistance_ohm / 1e3
+        return max(0.0, self.open_circuit_voltage - sag)
 
     # ------------------------------------------------------------------
     # Discrete-time dynamics
@@ -211,8 +200,8 @@ class ThinFilmBattery(Battery):
             return DrawResult(0.0, 0.0, False, self.voltage)
 
         # Every hop, operation and heartbeat lands here, so the model is
-        # evaluated on locals; each expression keeps the operation order
-        # of _current_ma/_loaded_voltage, so results are bit-identical.
+        # evaluated on locals, in the operation order of the properties
+        # above (smoothed_current_ma, voltage): results are bit-identical.
         p = self._p
         capacity = p.capacity_pj
         voltage_at = p.profile.voltage_at
@@ -244,9 +233,7 @@ class ThinFilmBattery(Battery):
 
         ocv = voltage_at(consumed / capacity)
         current = 0.0 if ocv <= 0 else ema * _PJ_PER_CYCLE_TO_MW / ocv
-        loaded_voltage = max(
-            0.0, ocv - current * p.internal_resistance_ohm / 1e3
-        )
+        loaded_voltage = max(0.0, ocv - current * p.internal_resistance_ohm / 1e3)
         cutoff = p.cutoff_voltage
         died = (
             exhausted

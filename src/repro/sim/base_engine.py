@@ -394,9 +394,8 @@ class EngineBase:
         battery bank while keeping the observable behaviour (report
         set, energy ledger, death hooks) identical.
         """
-        # Runs once per node per frame: everything loop-invariant is
-        # read once, and liveness is tracked in a local (a draw kills
-        # the unit exactly when it reports ``died``).
+        # Runs per node per frame: loop invariants are read once, and
+        # liveness is a local (a draw kills exactly when it ``died``).
         schedule = self.schedule
         upload_pj = schedule.upload_energy_pj
         slot_cycles = schedule.upload_slot_cycles
@@ -434,19 +433,10 @@ class EngineBase:
                         blocked=blocked,
                     )
                 reports.append(
-                    StatusReport(
-                        node=node,
-                        level=tracker.level(node),
-                        alive=True,
-                        blocked_port=blocked,
-                    )
+                    StatusReport(node, tracker.level(node), True, blocked)
                 )
             elif changed:
-                reports.append(
-                    StatusReport(
-                        node=node, level=tracker.level(node), alive=alive
-                    )
-                )
+                reports.append(StatusReport(node, tracker.level(node), alive))
             if alive:
                 unit.rest(frame_cycles)
         return reports, heartbeats
