@@ -117,6 +117,8 @@ class ThinFilmBattery(Battery):
         self._recharged = 0.0      # harvested charge accepted (pJ)
         self._ema_power = 0.0      # smoothed drawn power (pJ/cycle)
         self._alive = True
+        self._rest_cycles = 0.0    # last rest duration and its EMA decay:
+        self._rest_decay = 1.0     # engines rest for one frame length
 
     # ------------------------------------------------------------------
     # Battery interface
@@ -234,11 +236,8 @@ class ThinFilmBattery(Battery):
         ocv = voltage_at(consumed / capacity)
         current = 0.0 if ocv <= 0 else ema * _PJ_PER_CYCLE_TO_MW / ocv
         loaded_voltage = max(0.0, ocv - current * p.internal_resistance_ohm / 1e3)
-        cutoff = p.cutoff_voltage
-        died = (
-            exhausted
-            or (not p.allow_recovery and loaded_voltage < cutoff)
-            or ocv < cutoff
+        died = exhausted or ocv < p.cutoff_voltage or (
+            not p.allow_recovery and loaded_voltage < p.cutoff_voltage
         )
         if died:
             self._alive = False
@@ -272,6 +271,7 @@ class ThinFilmBattery(Battery):
             )
         if duration_cycles == 0:
             return
-        self._ema_power *= math.exp(
-            -duration_cycles / self._p.ema_window_cycles
-        )
+        if duration_cycles != self._rest_cycles:
+            self._rest_cycles = duration_cycles
+            self._rest_decay = math.exp(-duration_cycles / self._p.ema_window_cycles)
+        self._ema_power *= self._rest_decay
